@@ -56,8 +56,9 @@ bench-serve:
 # IO-indistinguishability certificate, hardening must cut bits-recovered,
 # and a live 3-coalition trace against an in-process daemon must keep the
 # coalition implicated without accusing innocents (cmd/attackbench -smoke).
+# Writes the ignored attack_smoke.json, never the committed BENCH_attack.json.
 attack-smoke:
-	$(GO) run ./cmd/attackbench -smoke -o BENCH_attack.json
+	$(GO) run ./cmd/attackbench -smoke -o attack_smoke.json
 
 # Full red-team benchmark over c432/c880/c1355 with the default campaign
 # spec: per-circuit bits-recovered vs fingerprint size, unhardened and
@@ -90,9 +91,10 @@ chaos-cluster:
 	GO=$(GO) PART_FOR=8s MAXFAIL=20 scripts/partition_smoke.sh 2000 16 partition_smoke.json
 
 # Cluster benchmark: the BENCH_serve.json `cluster` section. Measures a
-# single-node baseline on mature registries (20k preseeded copies per design,
-# where the snapshot store pays an O(n) rewrite per issuance), then the same
-# load over 4 replicas on the O(1)-append WAL store; fails below a 3× scale.
+# single-node baseline on mature registries (20k preseeded copies per design),
+# then the same load over 4 replicas; fails below a 3× scale. The committed
+# section predates the single-node WAL: its baseline paid the old snapshot
+# store's O(n) rewrite per issuance.
 bench-serve-cluster:
 	GO=$(GO) KILL=0 REPLICAS=4 DESIGNS=4 PRESEED=20000 MIN_SCALE=3 \
 		scripts/cluster_smoke.sh 2000 16 BENCH_serve.json
@@ -140,9 +142,10 @@ bench-analyze:
 
 # CI smoke variant: the two smaller circuits only, with the cold gate relaxed
 # to 3× (and a 2× incremental floor) so shared CI runners don't flake; the
-# full gates above run on dedicated hardware.
+# full gates above run on dedicated hardware. Writes the ignored
+# bench_analyze_smoke.json, never the committed BENCH_analyze.json.
 bench-analyze-smoke:
-	$(GO) run ./cmd/benchanalyze -circuits c880,c5315 -min-cold 3 -min-incr 2
+	$(GO) run ./cmd/benchanalyze -circuits c880,c5315 -min-cold 3 -min-incr 2 -o bench_analyze_smoke.json
 
 cover:
 	$(GO) test -cover ./...
@@ -158,4 +161,4 @@ fuzz:
 # Seed corpora under internal/*/testdata/fuzz are committed — clean only
 # removes generated run artifacts, never fuzz seeds.
 clean:
-	rm -f BENCH_*.json runreport.json tables.md chaos-metrics.json serve_smoke.json cluster_smoke.json partition_smoke.json partition-metrics.json
+	rm -f BENCH_*.json runreport.json tables.md chaos-metrics.json serve_smoke.json cluster_smoke.json partition_smoke.json partition-metrics.json attack_smoke.json bench_analyze_smoke.json

@@ -186,6 +186,9 @@ type Analysis struct {
 	// verifier lazily holds the shared incremental verifier (verify.go).
 	verifyMu sync.Mutex
 	verifier *Verifier
+	// digest lazily holds the structural digest (digest.go).
+	digestOnce sync.Once
+	digest     string
 
 	// Incremental re-analysis state (incremental.go): the circuit version the
 	// scan ran at, packed per-node observations, and per-primary outcomes with

@@ -16,7 +16,6 @@ package registry
 import (
 	"context"
 	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -47,47 +46,55 @@ type Registry struct {
 	Issued map[string]string `json:"issued"`
 
 	// byValue is the reverse index (decimal value → buyer) behind the
-	// collision check — built lazily under mu, never serialised. Without it
-	// every fresh reservation scans the whole record map, which turns
-	// fleet-scale batch minting quadratic.
+	// collision check and TraceExact, never serialised. New, Restore and
+	// Load build it; every record write keeps it in step with Issued under
+	// mu. Without it every fresh reservation and every trace scans the
+	// whole record map.
 	byValue map[string]string
 }
 
-// valueIndex returns the reverse value→buyer index, building it from the
-// records on first use. The caller must hold mu for writing.
-func (r *Registry) valueIndex() map[string]string {
-	if r.byValue == nil {
-		r.byValue = make(map[string]string, len(r.Issued))
-		for buyer, val := range r.Issued {
-			r.byValue[val] = buyer
-		}
-	}
-	return r.byValue
+// Record is one issuance as the durable store keeps it: a buyer and the
+// decimal fingerprint value recorded for them.
+type Record struct {
+	// Buyer names the recipient.
+	Buyer string `json:"buyer"`
+	// Value is the fingerprint as a decimal mixed-radix integer.
+	Value string `json:"value"`
 }
 
-// DesignDigest hashes the structural identity of the analysed design: the
-// canonical node list plus the location/target/variant shape. Any change to
-// the netlist or the analysis options changes the digest.
-func DesignDigest(a *core.Analysis) string {
-	h := sha256.New()
-	io.WriteString(h, a.Circuit.String())
-	for i := range a.Locations {
-		loc := &a.Locations[i]
-		fmt.Fprintf(h, "L%d:%d:%d:%d;", loc.Primary, loc.FFCRoot, loc.Trigger, len(loc.Targets))
-		for j := range loc.Targets {
-			fmt.Fprintf(h, "T%d:%d;", loc.Targets[j].Gate, len(loc.Targets[j].Variants))
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16])
-}
+// DesignDigest returns the structural identity of the analysed design
+// (core.Analysis.Digest): any change to the netlist or the analysis
+// options changes it. It is computed once per analysis.
+func DesignDigest(a *core.Analysis) string { return a.Digest() }
 
 // New creates an empty registry bound to the analysed design.
 func New(a *core.Analysis) *Registry {
+	return newSized(a, 0)
+}
+
+// newSized creates an empty registry with room for n records.
+func newSized(a *core.Analysis, n int) *Registry {
 	return &Registry{
-		Design: a.Circuit.Name,
-		Digest: DesignDigest(a),
-		Issued: map[string]string{},
+		Design:  a.Circuit.Name,
+		Digest:  DesignDigest(a),
+		Issued:  make(map[string]string, n),
+		byValue: make(map[string]string, n),
 	}
+}
+
+// Restore rebuilds a design's registry from durable records — the
+// registry store's replay path. Every record gets Adopt's checks (non-empty
+// buyer, decimal value, no conflicting value for a buyer, no value shared
+// by two buyers), but the maps are sized once and the lock is taken once,
+// so replaying a mature registry costs one pass over its records.
+func Restore(a *core.Analysis, recs []Record) (*Registry, error) {
+	r := newSized(a, len(recs))
+	for _, rec := range recs {
+		if err := r.adoptLocked(rec.Buyer, rec.Value); err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 // Issue assigns the buyer a fresh fingerprint value derived
@@ -142,12 +149,11 @@ func (r *Registry) reserve(buyer string, combos *big.Int) (value *big.Int, fresh
 	value = r.deriveValue(buyer, combos)
 	// Collision check against existing records.
 	dec := value.String()
-	idx := r.valueIndex()
-	if other, ok := idx[dec]; ok {
+	if other, ok := r.byValue[dec]; ok {
 		return nil, false, fmt.Errorf("registry: fingerprint collision between %q and %q", buyer, other)
 	}
 	r.Issued[buyer] = dec
-	idx[dec] = buyer
+	r.byValue[dec] = buyer
 	return value, true, nil
 }
 
@@ -174,7 +180,7 @@ func (r *Registry) release(buyer string, fresh bool) {
 // deleteRecord drops a buyer's record and its reverse-index entry. The
 // caller must hold mu for writing.
 func (r *Registry) deleteRecord(buyer string) {
-	if val, ok := r.Issued[buyer]; ok && r.byValue != nil {
+	if val, ok := r.Issued[buyer]; ok {
 		delete(r.byValue, val)
 	}
 	delete(r.Issued, buyer)
@@ -291,13 +297,12 @@ func (r *Registry) reserveBatch(buyers []string, combos *big.Int) ([]BatchItem, 
 		}
 		v := r.deriveValue(buyer, combos)
 		dec := v.String()
-		idx := r.valueIndex()
-		if other, ok := idx[dec]; ok {
+		if other, ok := r.byValue[dec]; ok {
 			rollback()
 			return nil, fmt.Errorf("registry: fingerprint collision between %q and %q", buyer, other)
 		}
 		r.Issued[buyer] = dec
-		idx[dec] = buyer
+		r.byValue[dec] = buyer
 		items[i].Value = v
 		items[i].Fresh = true
 		added = append(added, buyer)
@@ -313,27 +318,59 @@ func (r *Registry) reserveBatch(buyers []string, combos *big.Int) ([]BatchItem, 
 // deterministic per (digest, buyer), adopted records are byte-identical to
 // the ones local issuance would have derived.
 func (r *Registry) Adopt(buyer, value string) error {
-	if buyer == "" {
-		return fmt.Errorf("registry: empty buyer name")
-	}
-	if _, ok := new(big.Int).SetString(value, 10); !ok {
-		return fmt.Errorf("registry: adopting corrupt value for %q", buyer)
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	return r.adoptLocked(buyer, value)
+}
+
+// adoptLocked is Adopt for a caller holding mu for writing (or owning a
+// registry no other goroutine can see yet).
+func (r *Registry) adoptLocked(buyer, value string) error {
+	if err := CheckRecord(buyer, value); err != nil {
+		return err
+	}
 	if prev, ok := r.Issued[buyer]; ok {
 		if prev != value {
 			return fmt.Errorf("registry: adopting conflicting record for %q", buyer)
 		}
 		return nil
 	}
-	idx := r.valueIndex()
-	if other, ok := idx[value]; ok && other != buyer {
+	if other, ok := r.byValue[value]; ok && other != buyer {
 		return fmt.Errorf("registry: fingerprint collision between %q and %q", buyer, other)
 	}
 	r.Issued[buyer] = value
-	idx[value] = buyer
+	r.byValue[value] = buyer
 	return nil
+}
+
+// CheckRecord rejects a record no issuance could have produced: an empty
+// buyer name or a value that is not a decimal integer.
+func CheckRecord(buyer, value string) error {
+	if buyer == "" {
+		return fmt.Errorf("registry: empty buyer name")
+	}
+	if !isDecimal(value) {
+		return fmt.Errorf("registry: adopting corrupt value for %q", buyer)
+	}
+	return nil
+}
+
+// isDecimal reports whether s is a base-10 integer with an optional sign:
+// exactly the strings big.Int.SetString(s, 10) accepts, checked without
+// building the number.
+func isDecimal(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i] < '0' || s[i] > '9' {
+			return false
+		}
+	}
+	return true
 }
 
 // ReleaseItems drops the records IssueBatch created (Fresh items only —
@@ -393,13 +430,12 @@ func (r *Registry) TraceExact(a *core.Analysis, suspect *circuit.Circuit) (strin
 	}
 	dec := v.String()
 	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for buyer, val := range r.Issued {
-		if val == dec {
-			return buyer, nil
-		}
+	buyer, ok := r.byValue[dec]
+	r.mu.RUnlock()
+	if !ok {
+		return "", fmt.Errorf("registry: fingerprint %s matches no issued copy", dec)
 	}
-	return "", fmt.Errorf("registry: fingerprint %s matches no issued copy", dec)
+	return buyer, nil
 }
 
 // TraceScores scores every registered buyer against a possibly tampered
@@ -438,8 +474,9 @@ func (r *Registry) check(a *core.Analysis) error {
 
 // Save writes the registry as JSON. It snapshots the record map under the
 // read lock, so a save racing concurrent Issue calls serialises a
-// consistent (point-in-time) state. Durable callers (internal/serve) must
-// write the output via temp file + fsync + rename, never truncate-in-place.
+// consistent (point-in-time) state. A caller keeping the output as its
+// durable copy must write it via temp file + fsync + rename, never
+// truncate-in-place.
 func (r *Registry) Save(w io.Writer) error {
 	type wire struct {
 		Design string            `json:"design"`
@@ -468,6 +505,10 @@ func Load(rd io.Reader, a *core.Analysis) (*Registry, error) {
 	}
 	if err := r.check(a); err != nil {
 		return nil, err
+	}
+	r.byValue = make(map[string]string, len(r.Issued))
+	for buyer, val := range r.Issued {
+		r.byValue[val] = buyer
 	}
 	return &r, nil
 }

@@ -350,3 +350,158 @@ func TestReleaseItems(t *testing.T) {
 		t.Errorf("after release Buyers = %v, want [old]", got)
 	}
 }
+
+// matureRegistry returns a c880 registry holding n value-only records, the
+// shape of a long-running deployment's registry.
+func matureRegistry(t testing.TB, a *core.Analysis, n int) *Registry {
+	t.Helper()
+	buyers := make([]string, n)
+	for i := range buyers {
+		buyers[i] = fmt.Sprintf("buyer-%05d", i)
+	}
+	r := New(a)
+	if _, err := r.IssueBatchValues(context.Background(), a, buyers); err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestTraceExactMatureRegistry: on a 10k-record registry TraceExact finds
+// the issued copy through the reverse index, misses with the same error an
+// unindexed scan gave, and stays correct after a release, a JSON round
+// trip and a Restore rebuild the index.
+func TestTraceExactMatureRegistry(t *testing.T) {
+	a := analyzed(t, "c880")
+	r := matureRegistry(t, a, 10000)
+	cp, _, err := r.Issue(a, "target")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := r.TraceExact(a, cp); err != nil || got != "target" {
+		t.Fatalf("TraceExact = %q, %v; want target", got, err)
+	}
+	outsider, outVal, err := New(a).Issue(a, "outsider")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = r.TraceExact(a, outsider)
+	want := fmt.Sprintf("registry: fingerprint %s matches no issued copy", outVal)
+	if err == nil || err.Error() != want {
+		t.Fatalf("outsider trace error = %v, want %q", err, want)
+	}
+
+	var buf bytes.Buffer
+	if err := r.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&buf, a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := make([]Record, 0, r.NumIssued())
+	for _, b := range r.Buyers() {
+		v, _ := r.Value(b)
+		recs = append(recs, Record{Buyer: b, Value: v})
+	}
+	restored, err := Restore(a, recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, reg := range map[string]*Registry{"loaded": loaded, "restored": restored} {
+		if got, err := reg.TraceExact(a, cp); err != nil || got != "target" {
+			t.Errorf("%s: TraceExact = %q, %v; want target", name, got, err)
+		}
+		if n := reg.NumIssued(); n != 10001 {
+			t.Errorf("%s: %d records, want 10001", name, n)
+		}
+	}
+
+	items, err := r.IssueBatch(context.Background(), a, []string{"fleeting"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ReleaseItems(items)
+	if _, err := r.TraceExact(a, items[0].Circuit); err == nil {
+		t.Error("released copy still traces")
+	}
+}
+
+// TestRestoreChecksEveryRecord: Restore applies Adopt's per-record checks
+// and rejects what Adopt rejects.
+func TestRestoreChecksEveryRecord(t *testing.T) {
+	a := analyzed(t, "c432")
+	for _, tc := range []struct {
+		name string
+		recs []Record
+		want string // error substring; "" means success
+	}{
+		{"ok", []Record{{"a", "1"}, {"b", "2"}, {"a", "1"}}, ""},
+		{"signed", []Record{{"a", "-7"}, {"b", "+8"}}, ""},
+		{"empty buyer", []Record{{"", "1"}}, "empty buyer"},
+		{"not decimal", []Record{{"a", "0x1f"}}, "corrupt value"},
+		{"empty value", []Record{{"a", ""}}, "corrupt value"},
+		{"bare sign", []Record{{"a", "-"}}, "corrupt value"},
+		{"conflict", []Record{{"a", "1"}, {"a", "2"}}, "conflicting record"},
+		{"collision", []Record{{"a", "1"}, {"b", "1"}}, "collision"},
+	} {
+		r, err := Restore(a, tc.recs)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			} else if r.NumIssued() != 2 {
+				t.Errorf("%s: %d records, want 2", tc.name, r.NumIssued())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.want)
+		}
+		// Adopt agrees record by record.
+		adopt := New(a)
+		var aerr error
+		for _, rec := range tc.recs {
+			if aerr = adopt.Adopt(rec.Buyer, rec.Value); aerr != nil {
+				break
+			}
+		}
+		if aerr == nil || aerr.Error() != err.Error() {
+			t.Errorf("%s: Adopt error %v, Restore error %v", tc.name, aerr, err)
+		}
+	}
+}
+
+// BenchmarkDesignDigest measures the design digest the registry checks on
+// every issue and trace: fresh is the full serialise-and-hash of c5315,
+// cached the per-call cost once the analysis holds it.
+func BenchmarkDesignDigest(b *testing.B) {
+	spec, err := bench.ByName("c5315")
+	if err != nil {
+		b.Fatal(err)
+	}
+	c := spec.Build()
+	analyze := func() *core.Analysis {
+		a, err := core.Analyze(c, core.DefaultOptions(cell.Default()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return a
+	}
+	b.Run("fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			a := analyze()
+			b.StartTimer()
+			DesignDigest(a)
+		}
+	})
+	b.Run("cached", func(b *testing.B) {
+		a := analyze()
+		DesignDigest(a)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			DesignDigest(a)
+		}
+	})
+}

@@ -1,167 +1,103 @@
 package registrystore
 
 import (
-	"context"
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
-	"sync"
 
-	"repro/internal/core"
-	"repro/internal/fault"
 	"repro/internal/registry"
 )
 
-// localTmpMarker tags in-progress atomic writes; OpenLocal sweeps leftovers
-// (the same discipline internal/serve's design store uses).
-const localTmpMarker = ".tmp-"
+// localNode is the replica id of a single-node store: the only member of
+// its own replica set.
+const localNode = "local"
 
-// Local is the single-node Store: each design's registry is one JSON
-// snapshot file (<digest>.registry.json) replaced atomically on every
-// Append — temp file, fsync, rename, directory fsync — so a restarted
-// daemon only ever observes a complete old or complete new registry. This
-// is the historical single-node odcfpd format, unchanged, which is what
-// makes switching a deployment between local and cluster mode a
-// data-migration step rather than a silent incompatibility.
-type Local struct {
-	dir string
+// Legacy single-node snapshots: earlier single-node daemons kept each
+// design's registry as one JSON file, <digest>.registry.json, rewritten in
+// full on every issuance. OpenLocal imports each one into the WAL once and
+// renames it <digest>.registry.json.imported.
+const (
+	legacySuffix   = ".registry.json"
+	importedSuffix = ".imported"
+)
 
-	mu   sync.Mutex
-	seqs map[string]uint64
+// OpenLocal opens the single-node store rooted at dir: a peerless W=1
+// Replicated over dir/wal — the same log, group commit, open-time salvage
+// and scrubber a cluster replica runs, with no peers to replicate to. The
+// first open of a directory written by an earlier single-node daemon
+// imports its legacy snapshots (importLegacy).
+func OpenLocal(dir string) (*Replicated, error) {
+	r, err := OpenReplicated(ReplicatedConfig{
+		Dir: filepath.Join(dir, "wal"), Self: localNode, Nodes: []string{localNode}, W: 1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := importLegacy(dir, r.wal); err != nil {
+		r.Close()
+		return nil, err
+	}
+	return r, nil
 }
 
-// OpenLocal opens (creating if necessary) a local registry store rooted at
-// dir and sweeps temp files left behind by a crash mid-write.
-func OpenLocal(dir string) (*Local, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("registrystore: local: %w", err)
-	}
-	entries, err := os.ReadDir(dir)
+// importLegacy moves every legacy snapshot in dir into the WAL. Per file,
+// the records are appended sorted by buyer and the append's fsync returns
+// before the file is renamed away, so a crash at any point leaves either
+// the snapshot in place (and the next open re-imports it — WAL appends
+// dedup by buyer, making that a no-op for records already logged) or the
+// records durable in the WAL. A snapshot whose body names a different
+// design than its file name, or that disagrees with the WAL about a
+// buyer's value, fails the open rather than importing silently.
+func importLegacy(dir string, w *WAL) error {
+	paths, err := filepath.Glob(filepath.Join(dir, "*"+legacySuffix))
 	if err != nil {
-		return nil, fmt.Errorf("registrystore: local: %w", err)
+		return fmt.Errorf("registrystore: import: %w", err)
 	}
-	for _, e := range entries {
-		if !e.IsDir() && strings.Contains(e.Name(), localTmpMarker) &&
-			strings.Contains(e.Name(), ".registry.json") {
-			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
-				return nil, fmt.Errorf("registrystore: local: recovering %s: %w", e.Name(), err)
-			}
+	for _, path := range paths {
+		digest := strings.TrimSuffix(filepath.Base(path), legacySuffix)
+		if !validDigest(digest) {
+			continue
+		}
+		if err := importSnapshot(path, digest, w); err != nil {
+			return fmt.Errorf("registrystore: import %s: %w", filepath.Base(path), err)
 		}
 	}
-	return &Local{dir: dir, seqs: make(map[string]uint64)}, nil
-}
-
-func (l *Local) path(digest string) string {
-	return filepath.Join(l.dir, digest+".registry.json")
-}
-
-// validDigest rejects digests that could escape the store directory; real
-// digests are fixed-width lowercase hex (registry.DesignDigest).
-func validDigest(d string) bool {
-	if len(d) != 32 {
-		return false
-	}
-	for _, c := range d {
-		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
-			return false
-		}
-	}
-	return true
-}
-
-// Load reads the design's snapshot, validating it against the analysis. A
-// missing file is a fresh empty registry (stored design, nothing issued).
-func (l *Local) Load(digest string, a *core.Analysis) (*registry.Registry, uint64, error) {
-	if !validDigest(digest) {
-		return nil, 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
-	}
-	f, err := os.Open(l.path(digest))
-	if os.IsNotExist(err) {
-		return registry.New(a), l.Seq(digest), nil
-	}
-	if err != nil {
-		return nil, 0, fmt.Errorf("registrystore: local: %w", err)
-	}
-	defer f.Close()
-	r, err := registry.Load(f, a)
-	if err != nil {
-		return nil, 0, fmt.Errorf("registrystore: local: registry %s: %w", digest, err)
-	}
-	mLoads.Inc()
-	return r, l.Seq(digest), nil
-}
-
-// Append snapshots reg to the design's registry file. The snapshot always
-// carries the full record set, so the durable file stays a superset of
-// every acknowledged issuance even when an earlier Append failed after the
-// in-memory reservation.
-func (l *Local) Append(ctx context.Context, digest string, reg *registry.Registry, recs []Record) (uint64, error) {
-	if !validDigest(digest) {
-		return 0, fmt.Errorf("registrystore: local: invalid digest %q", digest)
-	}
-	var b strings.Builder
-	if err := reg.Save(&b); err != nil {
-		return 0, err
-	}
-	if err := l.atomicWrite(l.path(digest), []byte(b.String())); err != nil {
-		return 0, fmt.Errorf("registrystore: local: registry %s: %w", digest, err)
-	}
-	mAppends.Inc()
-	mRecords.Add(int64(len(recs)))
-	l.mu.Lock()
-	l.seqs[digest]++
-	seq := l.seqs[digest]
-	l.mu.Unlock()
-	return seq, nil
-}
-
-// Seq returns the number of successful Appends this process has made for
-// the design. The local store has a single writer (this daemon), so the
-// sequence only moves through Append and a loaded registry never goes
-// stale underneath its holder.
-func (l *Local) Seq(digest string) uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seqs[digest]
-}
-
-// Close is a no-op: the local store holds no descriptors between writes.
-func (l *Local) Close() error { return nil }
-
-// atomicWrite writes data to path via temp file + fsync + rename, honoring
-// the store.write / store.fsync fault points exactly like the design store
-// — injected failures surface as transient errors the serve layer retries.
-func (l *Local) atomicWrite(path string, data []byte) error {
-	if err := fault.Err(fault.StoreWrite); err != nil {
-		return err
-	}
-	f, err := os.CreateTemp(l.dir, filepath.Base(path)+localTmpMarker+"*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	cleanup := func() { f.Close(); os.Remove(tmp) }
-	if _, err := f.Write(data); err != nil {
-		cleanup()
-		return err
-	}
-	fault.Stall(fault.StoreFsync)
-	if err := f.Sync(); err != nil {
-		cleanup()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(l.dir); err == nil {
-		d.Sync()
-		d.Close()
+	if len(paths) > 0 {
+		syncDir(dir)
 	}
 	return nil
+}
+
+// importSnapshot appends one legacy snapshot's records to the WAL, then
+// renames the snapshot out of the import set.
+func importSnapshot(path, digest string, w *WAL) error {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return err
+	}
+	var snap struct {
+		Digest string            `json:"digest"`
+		Issued map[string]string `json:"issued"`
+	}
+	if err := json.Unmarshal(data, &snap); err != nil {
+		return err
+	}
+	if snap.Digest != digest {
+		return fmt.Errorf("snapshot is for design %q, not %q", snap.Digest, digest)
+	}
+	recs := make([]Record, 0, len(snap.Issued))
+	for buyer, value := range snap.Issued {
+		if err := registry.CheckRecord(buyer, value); err != nil {
+			return err
+		}
+		recs = append(recs, Record{Buyer: buyer, Value: value})
+	}
+	sort.Slice(recs, func(i, j int) bool { return recs[i].Buyer < recs[j].Buyer })
+	if _, _, err := w.Append(digest, recs); err != nil {
+		return err
+	}
+	return os.Rename(path, path+importedSuffix)
 }

@@ -5,23 +5,22 @@
 // registry.Registry per design in memory; this package owns the only state
 // the service can never afford to lose: the acknowledged issuances.
 //
-// Two implementations satisfy Store:
+// One implementation, Replicated, backs every daemon. It turns the
+// registry into an append-only write-ahead log (one WAL segment per design
+// digest, CRC-framed records, group-committed fsync), replicated
+// synchronously to the peer replicas of an odcfpd cluster: an Append
+// acknowledges only after W replicas hold the records durably, so any
+// single node can be killed without losing an acknowledged issuance. A
+// single-node daemon runs the same store as a peerless W=1 replica
+// (OpenLocal), so it appends one record per issuance instead of rewriting
+// the registry, and gets the scrubber and open-time salvage too. OpenLocal
+// also imports, once, the JSON snapshots (<digest>.registry.json) that
+// earlier single-node daemons wrote.
 //
-//   - Local persists each design's registry as an atomically replaced JSON
-//     snapshot (<digest>.registry.json), exactly the single-node daemon's
-//     historical format — crash-safe via temp file + fsync + rename.
-//   - Replicated turns the registry into an append-only write-ahead log
-//     (one WAL segment per design digest, CRC-framed records, group-
-//     committed fsync) replicated synchronously to the peer replicas of an
-//     odcfpd cluster: an Append acknowledges only after W replicas hold the
-//     records durably, so any single node can be killed without losing an
-//     acknowledged issuance.
-//
-// The two are interchangeable behind Store because issuance is
-// deterministic: a fingerprint value is a pure function of (design digest,
-// buyer), so replaying, re-minting or even double-appending a record can
-// never produce a conflicting registry — the property that lets the
-// replicated store converge by record union instead of consensus
+// Replication needs no consensus because issuance is deterministic: a
+// fingerprint value is a pure function of (design digest, buyer), so
+// replaying, re-minting or even double-appending a record can never
+// produce a conflicting registry — replicas converge by record union
 // (DESIGN.md §13).
 package registrystore
 
@@ -92,12 +91,22 @@ func peerErrCounter(node string) *obs.Counter {
 // minted for and the decimal fingerprint value recorded for them. Records
 // are immutable and self-contained — the value re-derives the copy
 // byte-identically (registry issuance is deterministic per buyer), so a
-// record alone is a complete acknowledgement.
-type Record struct {
-	// Buyer names the recipient.
-	Buyer string `json:"buyer"`
-	// Value is the fingerprint as a decimal mixed-radix integer.
-	Value string `json:"value"`
+// record alone is a complete acknowledgement. It is the registry's own
+// record type, so a replayed log restores a registry without conversion.
+type Record = registry.Record
+
+// validDigest rejects digests that could escape the store directory; real
+// digests are fixed-width lowercase hex (registry.DesignDigest).
+func validDigest(d string) bool {
+	if len(d) != 32 {
+		return false
+	}
+	for _, c := range d {
+		if (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
 }
 
 // Store persists issuance registries, one per design digest. The serving
@@ -114,11 +123,10 @@ type Store interface {
 
 	// Append durably persists recs for the design and returns the store's
 	// new sequence number. reg is the in-memory registry already holding
-	// the records (snapshot implementations serialise it; log
-	// implementations ignore it). The durability contract: when Append
-	// returns nil, the records survive any crash the implementation claims
-	// to tolerate — a process kill for Local, the kill of any single
-	// cluster node for Replicated.
+	// the records; the log store ignores it, and the parameter is kept for
+	// existing callers. The durability contract: when Append returns nil,
+	// the records survive a process kill, and in a cluster with W ≥ 2 the
+	// kill of any single node.
 	Append(ctx context.Context, digest string, reg *registry.Registry, recs []Record) (uint64, error)
 
 	// Seq returns the store's current sequence number for the design. A

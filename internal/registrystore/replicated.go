@@ -73,9 +73,10 @@ type ReplicatedConfig struct {
 	ScrubInterval time.Duration
 }
 
-// Replicated is the cluster Store: every Append lands in the local WAL
-// (group-committed fsync), then replicates synchronously to the peer
-// replicas, acknowledging once W nodes hold the records durably. Because
+// Replicated is the Store every daemon runs: every Append lands in the
+// local WAL (group-committed fsync), then replicates synchronously to the
+// peer replicas, acknowledging once W nodes hold the records durably (a
+// single-node daemon is a peerless W=1 replica, see OpenLocal). Because
 // fingerprint values are deterministic per (digest, buyer) and WAL appends
 // dedup by buyer, replicas converge by record union — re-sends, races and
 // restarts can only ever grow a segment toward the same set, never fork it
@@ -259,14 +260,15 @@ func (r *Replicated) Load(digest string, a *core.Analysis) (*registry.Registry, 
 	if got := registry.DesignDigest(a); got != digest {
 		return nil, 0, fmt.Errorf("registrystore: replicated: design digest mismatch (want %s, analysis %s)", digest, got)
 	}
-	reg := registry.New(a)
-	for _, rec := range r.wal.Records(digest) {
-		if err := reg.Adopt(rec.Buyer, rec.Value); err != nil {
-			return nil, 0, fmt.Errorf("registrystore: replicated: replaying %s: %w", digest, err)
-		}
+	recs := r.wal.Records(digest)
+	reg, err := registry.Restore(a, recs)
+	if err != nil {
+		return nil, 0, fmt.Errorf("registrystore: replicated: replaying %s: %w", digest, err)
 	}
 	mLoads.Inc()
-	return reg, r.wal.Total(digest), nil
+	// The sequence is the replayed prefix's length, not a fresh Total: an
+	// append landing after Records returned must still read as stale.
+	return reg, uint64(len(recs)), nil
 }
 
 // Append makes recs durable locally (group-committed WAL fsync), then

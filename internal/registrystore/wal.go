@@ -228,10 +228,7 @@ func createSegment(path, dir, digest string) (*segment, error) {
 		os.Remove(path)
 		return nil, fmt.Errorf("registrystore: wal: %s: %w", path, err)
 	}
-	if d, derr := os.Open(dir); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	syncDir(dir)
 	return &segment{
 		f: f, path: path, digest: digest, size: int64(len(hdr)),
 		byBuyer: make(map[string]string), pending: make(map[string]string),
@@ -403,10 +400,7 @@ func rebuildSegmentFile(path, digest string, recs []Record) (*os.File, int64, er
 		f.Close()
 		return nil, 0, fmt.Errorf("registrystore: wal: rebuild %s: %w", path, err)
 	}
-	if d, derr := os.Open(filepath.Dir(path)); derr == nil {
-		d.Sync()
-		d.Close()
-	}
+	syncDir(filepath.Dir(path))
 	return f, int64(len(buf)), nil
 }
 
@@ -587,5 +581,14 @@ func (s *segment) flush() {
 		for _, done := range waiters {
 			done <- err
 		}
+	}
+}
+
+// syncDir persists creates and renames in dir; a platform that cannot
+// fsync a directory leaves them to the file system's own ordering.
+func syncDir(dir string) {
+	if d, err := os.Open(dir); err == nil {
+		d.Sync()
+		d.Close()
 	}
 }

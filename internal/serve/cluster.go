@@ -118,9 +118,9 @@ func (cs *clusterState) breakerFor(node string) *breaker {
 	return b
 }
 
-// openRegistryStore picks the registry store implementation: the local
-// snapshot store for a single-node daemon, the replicated WAL for a
-// cluster replica.
+// openRegistryStore opens the registry WAL under <store>/wal: a peerless
+// one-replica store for a single-node daemon (which also imports any
+// legacy JSON snapshots), a replica of the configured set in cluster mode.
 func (s *Server) openRegistryStore() error {
 	cc := s.cfg.Cluster
 	if cc == nil {

@@ -588,8 +588,10 @@ func (s *Server) issueOne(ctx context.Context, d *design, reg *registry.Registry
 // Re-issues (no fresh records) return immediately — the records are already
 // durable, so an idempotent mint is a pure read. The design's registry
 // sequence advances only when d.reg is still the registry the records were
-// reserved in; otherwise a reload already superseded it and the next
-// ensureRegistryLocked picks the appended records up from the store.
+// reserved in and the store grew by exactly these records; otherwise a
+// reload already superseded it, or a replica's records landed alongside
+// them and are missing from reg, and the next ensureRegistryLocked reloads
+// from the store.
 func (s *Server) appendRecords(ctx context.Context, d *design, reg *registry.Registry, items []registry.BatchItem) error {
 	recs := make([]registrystore.Record, 0, len(items))
 	for i := range items {
@@ -602,7 +604,7 @@ func (s *Server) appendRecords(ctx context.Context, d *design, reg *registry.Reg
 	}
 	return s.retryStore(ctx, func() error {
 		seq, err := s.regstore.Append(ctx, d.digest, reg, recs)
-		if err == nil && d.reg == reg {
+		if err == nil && d.reg == reg && seq == d.regSeq+uint64(len(recs)) {
 			d.regSeq = seq
 		}
 		return err

@@ -11,10 +11,11 @@
 // core.Analysis is held in an LRU cache keyed by the design digest, so
 // issuance and tracing — which the CLI pays a full re-analysis for on
 // every invocation — reuse it. Work is admitted through a bounded
-// par.Pool with per-request timeouts and request-size limits; issued
-// fingerprints persist through a crash-safe Store (temp file + fsync +
-// rename) and survive restarts; everything is instrumented with
-// internal/obs and exposed at GET /metrics.
+// par.Pool with per-request timeouts and request-size limits; uploaded
+// designs persist through a crash-safe Store (temp file + fsync + rename)
+// and issued fingerprints through the registry WAL (internal/registrystore),
+// so both survive restarts; everything is instrumented with internal/obs
+// and exposed at GET /metrics.
 //
 // API (see DESIGN.md §9 for schemas):
 //
@@ -129,9 +130,9 @@ type Config struct {
 	// runner yields its worker slot between chunks.
 	MaxBatchBuyers int
 	// Cluster, when non-nil, runs this daemon as one replica of an odcfpd
-	// cluster: the issuance registry moves from per-design JSON snapshots to
-	// a replicated WAL, and design-scoped requests are routed to each
-	// design's leader (cluster.go). Nil is the single-node daemon.
+	// cluster: registry WAL appends replicate to the peers, and
+	// design-scoped requests are routed to each design's leader
+	// (cluster.go). Nil is the single-node daemon, a peerless replica.
 	Cluster *ClusterConfig
 }
 

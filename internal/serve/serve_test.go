@@ -18,6 +18,8 @@ import (
 	"repro/internal/bench"
 	"repro/internal/benchfmt"
 	"repro/internal/circuit"
+	"repro/internal/registry"
+	"repro/internal/registrystore"
 )
 
 // benchBytes renders a suite circuit as .bench text — the client-side view
@@ -265,6 +267,64 @@ func TestServeRestartLosesNothing(t *testing.T) {
 	_, fp2 := issueCopy(t, ts2.URL, info.Digest, "alice", "")
 	if fp2 != aliceFP {
 		t.Errorf("post-restart fingerprint %s, want %s", fp2, aliceFP)
+	}
+}
+
+// sideAppendStore lands one extra record in the store while the second
+// Append is in flight, the way a replica's records can arrive alongside an
+// issue's own append. The serve layer holds the design lock across Append,
+// which serialises calls.
+type sideAppendStore struct {
+	*registrystore.Replicated
+	extra registrystore.Record
+	calls int
+}
+
+func (s *sideAppendStore) Append(ctx context.Context, digest string, reg *registry.Registry, recs []registrystore.Record) (uint64, error) {
+	s.calls++
+	if s.calls == 2 {
+		if _, err := s.ApplyReplica(digest, []registrystore.Record{s.extra}); err != nil {
+			return 0, err
+		}
+	}
+	return s.Replicated.Append(ctx, digest, reg, recs)
+}
+
+// TestServeReloadsAfterSideAppend: a record that lands in the store during
+// an issue's append is missing from the in-memory registry, so that issue
+// must not mark the registry current — a later trace of the record's copy
+// still names its buyer.
+func TestServeReloadsAfterSideAppend(t *testing.T) {
+	netlist := benchBytes(t, "c880")
+	a, err := analyzeUpload(context.Background(), parseBench(t, netlist))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bobCopy, bobValue, err := registry.New(a).Issue(a, "bob")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bobBody bytes.Buffer
+	if err := benchfmt.Write(&bobBody, bobCopy); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(Config{StoreDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.regstore = &sideAppendStore{
+		Replicated: s.regstore.(*registrystore.Replicated),
+		extra:      registrystore.Record{Buyer: "bob", Value: bobValue.String()},
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	info, _ := uploadDesign(t, ts.URL, netlist)
+	issueCopy(t, ts.URL, info.Digest, "alice", "")
+	issueCopy(t, ts.URL, info.Digest, "carol", "")
+	if tr := traceSuspect(t, ts.URL, info.Digest, bobBody.Bytes(), ""); tr.Exact != "bob" {
+		t.Errorf("trace of bob's copy = %q, want bob", tr.Exact)
 	}
 }
 

@@ -34,15 +34,20 @@ type DesignMeta struct {
 	Format string `json:"format"`
 }
 
-// Store is the daemon's durable state apart from issuance registries
-// (which live in a registrystore.Store — JSON snapshots in this same
-// directory for the single-node daemon, a replicated WAL in cluster mode).
-// Per design digest it holds two files, plus one file per async job:
+// Store is the daemon's durable state apart from issuance registries,
+// which live in the registry WAL under wal/ in this same directory
+// (registrystore.OpenLocal for a single-node daemon, a cluster replica's
+// registrystore.Replicated otherwise). Per design digest it holds two
+// files, plus one file per async job:
 //
 //	<digest>.design        raw uploaded netlist bytes, verbatim
 //	<digest>.meta.json     DesignMeta (format + name)
 //	job-<id>.json          one async issuance job's durable state
+//	wal/<digest>.wal       the design's issuance records (registrystore)
 //
+// A directory written by an earlier single-node daemon may also hold
+// <digest>.registry.json snapshots; the registry store imports each once
+// and renames it <digest>.registry.json.imported.
 // Every write is crash-safe: content goes to a temp file in the same
 // directory, is fsynced, then renamed over the destination (and the
 // directory fsynced), so readers — including a restarted daemon — only

@@ -137,15 +137,16 @@ func TestStoreTornWriteRecovery(t *testing.T) {
 }
 
 // TestStoreRegistryRoundTrip: an issued fingerprint persists through the
-// local registry store (registrystore.Local shares the design store's
-// directory and snapshot format), and a design with no records yields a
-// fresh empty registry rather than an error.
+// single-node registry store (a one-replica WAL under the design store's
+// directory), and a design with no records yields a fresh empty registry
+// rather than an error.
 func TestStoreRegistryRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st, err := registrystore.OpenLocal(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st.Close()
 	a := analyzed(t, "c880")
 	digest := registry.DesignDigest(a)
 

@@ -20,8 +20,7 @@
 #   RF        replication factor / write quorum         (default 2)
 #   DESIGNS   design variants, spread over the leaders  (default 3)
 #   PRESEED   per-design seed copies minted before the  (default 0)
-#             timed run — matures the registries so the
-#             baseline pays its per-issue snapshot rewrite
+#             timed run — matures the registries
 #   KILL      1 = kill -9 one replica mid-run           (default 1)
 #   MIN_SCALE fail below this cluster-vs-baseline RPS   (default 0 = off)
 #             scale; > 0 also enables the baseline phase
